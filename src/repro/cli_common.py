@@ -22,14 +22,12 @@ def add_common_arguments(
     jobs: bool = False,
     trace: bool = False,
     workers: bool = False,
-    sim_backend: bool = False,
 ) -> None:
     """Attach the standard observability flags to ``parser``.
 
     Always adds ``--log-level`` and ``--profile``; adds ``--jobs``,
-    ``--trace``, ``--workers``, and ``--sim-backend`` when the caller
-    opts in (they only make sense for tools that fan out work, run
-    simulations, or serve).
+    ``--trace``, and ``--workers`` when the caller opts in (they only
+    make sense for tools that fan out work, run simulations, or serve).
     """
     add_log_level_argument(parser)
     parser.add_argument(
@@ -64,17 +62,6 @@ def add_common_arguments(
             help="write a Chrome trace_event JSON of every simulation run "
             "(open in chrome://tracing or ui.perfetto.dev)",
         )
-    if sim_backend:
-        from repro.sim.backend import VALID_BACKENDS
-
-        parser.add_argument(
-            "--sim-backend",
-            choices=VALID_BACKENDS,
-            default=None,
-            help="execution engine for the simulator hot loop "
-            "(default: $REPRO_SIM_BACKEND, else auto — "
-            "see the Backends section of docs/SIMULATOR.md)",
-        )
 
 
 def add_tech_argument(parser: argparse.ArgumentParser) -> None:
@@ -98,17 +85,11 @@ def add_tech_argument(parser: argparse.ArgumentParser) -> None:
 def configure_from_args(args: argparse.Namespace) -> None:
     """Apply the common flags right after ``parse_args``.
 
-    Configures package logging from ``args.log_level`` and pins the
-    simulator backend when ``--sim-backend`` was given; kept as the
+    Configures package logging from ``args.log_level``; kept as the
     single hook so every CLI picks up future common setup without
     edits.
     """
     configure_logging(getattr(args, "log_level", None))
-    backend_name = getattr(args, "sim_backend", None)
-    if backend_name is not None:
-        from repro.sim.backend import set_backend
-
-        set_backend(backend_name)
 
 
 def maybe_print_profile(args: argparse.Namespace) -> None:

@@ -906,7 +906,7 @@ def main(argv: list[str] | None = None) -> int:
         help="log a structured slow-request record for requests at or "
         "above this many seconds (default: $REPRO_SLOW_REQUEST_S or 1.0)",
     )
-    add_common_arguments(parser, jobs=True, workers=True, sim_backend=True)
+    add_common_arguments(parser, jobs=True, workers=True)
     args = parser.parse_args(argv)
     configure_from_args(args)
 

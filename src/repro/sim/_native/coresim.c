@@ -1,12 +1,18 @@
-/* Native CoreSim kernel — hand-maintained C translation of
- * repro/sim/backend_kernel.py.
+/* Native CoreSim kernel — the only compiled form of the simulator's
+ * event loop.
+ *
+ * Oracle: repro.sim.core.CoreSim._run.  This kernel must produce
+ * byte-identical SimStats and the same final cache residency as that
+ * Python loop; when editing pipeline semantics there, mirror the change
+ * here (tests/test_sim_backends.py's equivalence matrix catches any
+ * divergence).
  *
  * Contract: repro_coresim_run takes the exact argument tuple that
  * repro.sim.backend.try_run_native assembles (same order, int64 arrays
- * except the five uint8 arrays), performs the exact event-loop the
- * Python kernel performs, and returns the same RC_* codes.  When
- * editing pipeline semantics in backend_kernel.py, mirror the change
- * here — the cross-backend equivalence suite catches divergence.
+ * except the five uint8 arrays) and returns one of the RC_* codes.  The
+ * cfg[]/stats[]/cstats[] slot indices and return codes below mirror the
+ * constants in repro/sim/backend.py, the one Python module that fills
+ * and reads those arrays.
  *
  * Built on demand by repro.sim.backend._build_c_kernel:
  *   cc -O2 -fPIC -shared -o ~/.cache/repro/native/coresim-<sha>.so coresim.c
@@ -18,7 +24,7 @@
 typedef int64_t i64;
 typedef uint8_t u8;
 
-/* cfg[] slots — keep in sync with backend_kernel.py */
+/* cfg[] slots — keep in sync with repro/sim/backend.py */
 enum {
     CFG_DISPATCH_W = 0, CFG_ISSUE_W, CFG_COMMIT_W, CFG_ROB, CFG_IQ,
     CFG_LQ, CFG_SQ, CFG_FRONTEND, CFG_COMMIT_LAT, CFG_REDIRECT,

@@ -2,6 +2,9 @@
 
 import json
 import pickle
+import shutil
+
+import pytest
 
 from repro.core.modes import TCAMode
 from repro.isa.trace import TraceBuilder
@@ -70,8 +73,8 @@ class TestRunStatePool:
 
     def test_pooled_runs_are_deterministic(self):
         # Back-to-back runs reuse the pooled mutable block; any residue
-        # would change the stats.  Pinned to the python backend — native
-        # backends pool their own arrays (covered below).
+        # would change the stats.  Pinned to the python backend — the C
+        # kernel pools its own arrays (covered below).
         from repro.sim import backend
 
         compiled = compile_trace(_trace(), cache=False)
@@ -83,13 +86,18 @@ class TestRunStatePool:
         assert len(dumps) == 1
         assert len(compiled._pool) == 1
 
+    @pytest.mark.skipif(
+        not any(shutil.which(cc) for cc in ("cc", "gcc", "clang")),
+        reason="no C compiler on this host",
+    )
     def test_native_state_pool_reuses_blocks(self):
         # The native driver's per-run arrays pool mirrors the RunState
         # pool: clean runs recycle one block, and reuse leaves no residue.
         from repro.sim import backend
 
         compiled = compile_trace(_trace(), cache=False)
-        with backend.use_backend("interpreted"):
+        with backend.use_backend("auto"):
+            assert backend.effective_backend() == "c"
             dumps = set()
             for _ in range(4):
                 sim = CoreSim(HIGH_PERF_SIM, compiled)
