@@ -18,10 +18,12 @@ dependencies to install):
   the merged Pareto frontier (``"stream": false`` for one JSON object);
 - ``POST /simulate`` — cycle-level simulation of posted traces, fanned
   out over ``--jobs`` worker processes for multi-run requests and
-  memoized by trace fingerprint; traces are compiled once into
-  :class:`~repro.sim.compile.CompiledTrace` form and kept in a
-  fingerprint-keyed LRU, so repeat requests skip the trace-static
-  analysis pass (the hit counter surfaces in ``/healthz``);
+  memoized by trace content fingerprint; each posted trace text is
+  parsed and compiled once into
+  :class:`~repro.sim.compile.CompiledTrace` form and kept in an LRU
+  keyed on a sha256 of the raw text, so a repeat post of a known text
+  skips parsing, fingerprinting and the trace-static analysis pass
+  (the hit counter surfaces in ``/healthz``);
 - ``GET /healthz`` — liveness, version/schema tags, cache and
   compiled-trace LRU statistics, per-endpoint latency percentile
   summaries, and a provenance manifest;
@@ -46,6 +48,7 @@ exits.  ``docs/SERVING.md`` walks through a full client session;
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import signal
@@ -87,6 +90,7 @@ from repro.serve.params import (
     parse_warm_ranges,
     parse_workload,
 )
+from repro.serve.shm import pickle_blob, unpickle_blob
 from repro.serve.stream import (
     NDJSONStream,
     collect_pareto_sweep,
@@ -184,18 +188,20 @@ class ServeApp:
     Args:
         cache: the memoization layer (default: in-memory only).
         jobs: worker processes for multi-run ``/simulate`` requests.
-        compiled_traces: bound on the ``/simulate`` compiled-trace LRU
-            (keyed by :meth:`~repro.isa.trace.Trace.fingerprint`); repeat
-            requests for a known trace skip the trace-static analysis
-            pass entirely.
+        compiled_traces: bound on the ``/simulate`` compiled-trace LRU,
+            keyed on the sha256 of the posted trace text; a repeat post
+            of a known text skips parsing and the trace-static analysis
+            pass entirely.  Result keys still use the content
+            fingerprint (:meth:`~repro.isa.trace.Trace.fingerprint`).
         shared_traces: optional
             :class:`~repro.serve.shm.SharedBlobStore` of pickled
             compiled traces shared by every worker of a pre-forked
-            pool.  On a local LRU miss the store is probed before
-            compiling, and fresh compilations are published back — so a
-            trace posted to any worker is compiled once per pool, not
-            once per worker (the ``compiles`` counter in ``/healthz``
-            proves it: after warmup it stays flat across workers).
+            pool, keyed like the LRU.  On a local LRU miss the store is
+            probed before parsing, and fresh compilations are published
+            back — so a text posted to any worker is parsed and compiled
+            once per pool, not once per worker (the ``compiles`` counter
+            in ``/healthz`` proves it: after warmup it stays flat across
+            workers).
     """
 
     def __init__(
@@ -226,52 +232,55 @@ class ServeApp:
         self._compiled_shared_hits = 0
         self._compiles = 0
 
-    def _compiled_for(self, trace: Any) -> Any:
-        """The :class:`CompiledTrace` for ``trace``, via the LRU.
+    def _compiled_trace(self, text: Any, field: str) -> Any:
+        """The :class:`CompiledTrace` for posted trace ``text``.
 
+        Keyed on the sha256 of the raw text, taken before parsing.
         Lookup order: the process-local LRU, then (pooled workers) the
-        pool's shared-memory store, then an actual compile — which is
-        published back to the shared store so sibling workers skip it.
-        Compilation happens outside the lock (it is pure), so concurrent
-        first requests for the same trace may both compile; the second
-        insert simply refreshes the entry.
+        pool's shared-memory store, and only then ``parse_trace`` and
+        ``compile_trace``.  A fresh compilation computes its content
+        fingerprint before it is published, so the shared blob carries
+        it and a sibling worker's result key costs no rehash.  Bad text
+        raises a field-tagged :class:`RequestError` before anything is
+        cached.  Compilation happens outside the lock (it is pure), so
+        concurrent first requests for the same text may both compile;
+        the second insert simply refreshes the entry.
         """
-        fingerprint = trace.fingerprint()
+        if not isinstance(text, str):
+            parse_trace(text, field)  # raises: a trace is posted as text
+        digest = hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
+        registry = get_registry()
         with self._compiled_lock:
-            cached = self._compiled.get(fingerprint)
-            if cached is not None:
-                self._compiled.move_to_end(fingerprint)
+            compiled = self._compiled.get(digest)
+            if compiled is not None:
+                self._compiled.move_to_end(digest)
                 self._compiled_hits += 1
-                return cached
-            self._compiled_misses += 1
-        compiled = None
-        if self.shared_traces is not None:
-            from repro.serve import shm
-
-            blob = self.shared_traces.get(fingerprint)
-            if blob is not None:
-                try:
-                    compiled = shm.unpickle_blob(blob)
-                except Exception as exc:  # pragma: no cover - corrupt blob
-                    _log.warning(
-                        "shared compiled trace %s unreadable: %s",
-                        fingerprint,
-                        exc,
-                    )
+            else:
+                self._compiled_misses += 1
+        if compiled is not None:
+            registry.counter("serve.simulate.trace_text_hits").inc()
+            return compiled
+        blob = None if self.shared_traces is None else self.shared_traces.get(digest)
+        if blob is not None:
+            try:
+                compiled = unpickle_blob(blob)
+            except Exception as exc:  # pragma: no cover - corrupt blob
+                _log.warning("shared compiled trace %s unreadable: %s", digest, exc)
         if compiled is not None:
             with self._compiled_lock:
                 self._compiled_shared_hits += 1
+            registry.counter("serve.simulate.trace_text_shared_hits").inc()
         else:
-            compiled = compile_trace(trace, cache=False)
+            registry.counter("serve.simulate.trace_parses").inc()
+            compiled = compile_trace(parse_trace(text, field), cache=False)
+            compiled.fingerprint()  # memoized on the source; pickled with it
             with self._compiled_lock:
                 self._compiles += 1
             if self.shared_traces is not None:
-                from repro.serve import shm
-
-                self.shared_traces.put(fingerprint, shm.pickle_blob(compiled))
+                self.shared_traces.put(digest, pickle_blob(compiled))
         with self._compiled_lock:
-            self._compiled[fingerprint] = compiled
-            self._compiled.move_to_end(fingerprint)
+            self._compiled[digest] = compiled
+            self._compiled.move_to_end(digest)
             while len(self._compiled) > self._compiled_max:
                 self._compiled.popitem(last=False)
         return compiled
@@ -425,9 +434,12 @@ class ServeApp:
 
         Accepts one run object
         (``trace``/``config``/``warm_ranges``/``sampling``) or
-        ``{"runs": [...]}``.  Cached runs are answered immediately; the
-        remainder fan out over the configured worker processes, each
-        shipping the precompiled trace from the fingerprint-keyed LRU.
+        ``{"runs": [...]}``.  Each run's trace text is looked up by its
+        sha256 in the compiled-trace LRU (parsed only on a miss); runs
+        are then keyed on the content fingerprint, so cached runs are
+        answered immediately, and the remainder fan out over the
+        configured worker processes, each shipping the precompiled
+        trace.
         ``sampling`` opts a run into interval-sampled estimation (see
         :mod:`repro.sim.sample`); each result reports ``sim_mode``
         (``"exact"`` or ``"sampled"``) and, when sampled, the sampling
@@ -452,7 +464,7 @@ class ServeApp:
                         "each run must be an object",
                         field=_field("runs", index, ""),
                     )
-                trace = parse_trace(
+                trace = self._compiled_trace(
                     spec.get("trace"), _field("runs", index, "trace")
                 )
                 config = parse_sim_config(
@@ -464,13 +476,7 @@ class ServeApp:
                 sampling = parse_sampling(
                     spec.get("sampling"), _field("runs", index, "sampling")
                 )
-                # Compiled form for every run — result-cache hits still
-                # count an LRU hit, and uncached runs ship the precompiled
-                # trace to the worker pool instead of recompiling per
-                # process.
-                parsed.append(
-                    (self._compiled_for(trace), config, warm, sampling)
-                )
+                parsed.append((trace, config, warm, sampling))
 
         registry = get_registry()
         results: list[dict[str, Any] | None] = [None] * len(parsed)
@@ -664,7 +670,7 @@ class _Handler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length)
         try:
             return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise RequestError(f"request body is not valid JSON: {exc}") from exc
 
     def _dispatch(

@@ -16,9 +16,9 @@ ran warm.  This module moves the hot tier of both stores into a
   segment after :meth:`~repro.serve.pool.WorkerPool.supervise` returns.
 - each **worker** publishes what it computes (a pickled
   :class:`CompiledTrace`, a pickled result dict) into the segment and
-  probes it before computing: a trace posted to any worker is compiled
-  once per *pool*, and a result computed by any worker answers the same
-  query from every worker.
+  probes it before computing: a trace text posted to any worker is
+  parsed and compiled once per *pool*, and a result computed by any
+  worker answers the same query from every worker.
 
 Layout of a :class:`SharedBlobStore` segment::
 
@@ -47,7 +47,7 @@ registry under ``serve.shm.<tag>.*``; the pool's state-file merge makes
 them pool-wide in ``GET /metrics``, and ``GET /healthz`` reports each
 store's :meth:`~SharedBlobStore.stats` under a ``shared`` block.
 
-Single-worker serving (``--workers 1``) never touches this module.
+Single-worker serving (``--workers 1``) creates no segment and uses no store.
 """
 
 from __future__ import annotations
@@ -409,7 +409,8 @@ class PoolSharedState:
     Attributes:
         traces: :class:`SharedBlobStore` of pickled
             :class:`~repro.sim.compile.CompiledTrace` objects, keyed by
-            trace fingerprint (consulted by ``ServeApp._compiled_for``).
+            the sha256 of the posted trace text (consulted by
+            ``ServeApp._compiled_trace`` before it parses).
         results: :class:`SharedBlobStore` of pickled result dicts, the
             cross-worker hot tier of
             :class:`~repro.serve.cache.EvaluationCache`.

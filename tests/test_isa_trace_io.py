@@ -100,3 +100,43 @@ class TestErrors:
             "\n"
         )
         assert len(load_trace_stream(stream)) == 1
+
+    @pytest.mark.parametrize(
+        "lines, bad_line",
+        [
+            (["[1]"], 1),
+            (['"repro-trace"'], 1),
+            (["null"], 1),
+            (["", '{"format": "repro-trace", "version": 1}', "[1]"], 3),
+            (['{"format": "repro-trace", "version": 1}', "7"], 2),
+        ],
+    )
+    def test_non_object_line_rejected(self, lines, bad_line):
+        stream = io.StringIO("\n".join(lines) + "\n")
+        message = f"line {bad_line}: expected a JSON object"
+        with pytest.raises(ValueError, match=message):
+            load_trace_stream(stream)
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            # two values on one line
+            ['{"op": "nop"},{"op": "nop"}'],
+            # one value split over two lines, padded back to two values
+            ['{"op": "int_alu", "s": [[1', '2]]}, {"op": "nop"}'],
+            # a string that swallows the line break
+            ['{"op": "nop", "x": "}', '{"}, {"op": "nop"}'],
+        ],
+    )
+    def test_each_line_must_hold_exactly_one_value(self, lines):
+        header = '{"format": "repro-trace", "version": 1}'
+        stream = io.StringIO("\n".join([header, *lines]) + "\n")
+        with pytest.raises(ValueError, match="line 2: "):
+            load_trace_stream(stream)
+
+    def test_bad_line_is_named(self):
+        stream = io.StringIO(
+            '{"format": "repro-trace", "version": 1}\n{"op": "nop"}\n{"op": \n'
+        )
+        with pytest.raises(ValueError, match="line 3: "):
+            load_trace_stream(stream)

@@ -2,20 +2,32 @@
 
 One ephemeral-port server per test class; requests go through the full
 stdlib HTTP stack, so routing, size bounds, error mapping, and response
-encoding are all exercised exactly as a client would see them.
+encoding are all exercised exactly as a client would see them.  The
+compiled-trace lookup tests drive :class:`ServeApp` in process, where
+they can count parses and share a store between two apps.
 """
 
 import io
 import json
+import os
+import sys
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_sim_properties import _random_trace
+
+from repro import api
 from repro.isa.instructions import TCADescriptor
 from repro.isa.trace import TraceBuilder
-from repro.isa.trace_io import dump_trace
+from repro.isa.trace_io import dump_trace, load_trace_stream
+from repro.obs.metrics import get_registry
+from repro.serve import service
+from repro.serve.params import parse_sim_config
 from repro.serve.service import ServeApp, make_server
 
 
@@ -148,6 +160,17 @@ class TestEvaluate:
         req = urllib.request.Request(
             f"http://127.0.0.1:{server_port}/evaluate",
             data=b"{nope",
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req, timeout=30)
+        assert err.value.code == 400
+
+    def test_too_deeply_nested_json_is_400(self, server_port):
+        req = urllib.request.Request(
+            f"http://127.0.0.1:{server_port}/evaluate",
+            data=b"[" * 100_000,
             headers={"Content-Type": "application/json"},
             method="POST",
         )
@@ -347,6 +370,35 @@ class TestSimulate:
         assert status == 400
         assert body["field"] == "trace"
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1]\n",
+            '"header"\n',
+            '{"format": "repro-trace", "version": 1}\n[1]\n',
+            '{"format": "repro-trace", "version": 1}\n'
+            '{"op": "int_alu"},{"op": "int_alu"}\n',
+        ],
+        ids=["list-header", "string-header", "list-line", "two-values-line"],
+    )
+    def test_non_object_line_is_400_every_time(self, server_port, text):
+        good = {"trace": _trace_text(), "config": "a72"}
+        _request(server_port, "/simulate", good)
+        _, before = _request(server_port, "/healthz")
+        for _ in range(2):
+            status, body = _request(
+                server_port, "/simulate", {"runs": [good, {"trace": text}]}
+            )
+            assert status == 400
+            assert body["field"] == "runs[1].trace"
+            assert "line" in body["error"]
+        _, after = _request(server_port, "/healthz")
+        old, new = before["compiled_traces"], after["compiled_traces"]
+        # The bad text misses (and is parsed) both times; nothing is cached.
+        assert new["misses"] - old["misses"] == 2
+        assert new["hits"] - old["hits"] == 2
+        assert new["entries"] == old["entries"]
+
     def test_unknown_config_override_is_400(self, server_port):
         status, body = _request(
             server_port,
@@ -537,3 +589,164 @@ class TestSimulateSampling:
         with urllib.request.urlopen(req, timeout=30) as resp:
             page = resp.read().decode("utf-8")
         assert "serve_simulate_exact_runs" in page
+
+
+_CONFIGS = [
+    "a72",
+    "lp",
+    {"preset": "hp", "mode": "NL_NT"},
+    {"preset": "a72", "mode": "L_NT"},
+    {"preset": "a72", "mode": "NL_T", "rob_size": 64},
+]
+
+
+def _dumps(trace):
+    buffer = io.StringIO()
+    dump_trace(trace, buffer)
+    return buffer.getvalue()
+
+
+class TestTraceTextLookup:
+    """The compiled-trace lookup keyed on a digest of the posted text."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        length=st.integers(1, 40),
+        with_tca=st.booleans(),
+        picks=st.lists(
+            st.sampled_from(range(len(_CONFIGS))), min_size=2, max_size=2, unique=True
+        ),
+    )
+    def test_repeat_text_skips_parsing_and_matches_the_oracle(
+        self, seed, length, with_tca, picks
+    ):
+        trace = _random_trace(seed, length, with_tca)
+        text = _dumps(trace)
+        app = ServeApp()
+        calls = []
+        real_parse = service.parse_trace
+
+        def counting_parse(*args, **kwargs):
+            calls.append(args)
+            return real_parse(*args, **kwargs)
+
+        bodies = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(service, "parse_trace", counting_parse)
+            for pick in picks:
+                bodies.append(
+                    app.handle_simulate({"trace": text, "config": _CONFIGS[pick]})
+                )
+                assert len(calls) == 1  # the second post parses nothing
+        oracle_trace = load_trace_stream(io.StringIO(text))
+        for pick, body in zip(picks, bodies):
+            oracle = api.simulate(oracle_trace, parse_sim_config(_CONFIGS[pick]))
+            assert json.dumps(body["result"]["stats"]) == json.dumps(
+                oracle.stats.to_dict()
+            )
+            assert body["result"]["trace_name"] == trace.name
+        stats = bodies[1]["compiled_traces"]
+        assert (stats["compiles"], stats["hits"], stats["misses"]) == (1, 1, 1)
+
+    def test_header_name_gets_its_own_entry_but_shares_the_result(self):
+        app = ServeApp()
+        first = app.handle_simulate({"trace": _trace_text("name-a"), "config": "lp"})
+        second = app.handle_simulate({"trace": _trace_text("name-b"), "config": "lp"})
+        assert not first["result"]["cached"]
+        assert second["result"]["cached"]
+        assert first["result"]["trace_name"] == "name-a"
+        assert second["result"]["trace_name"] == "name-b"
+        assert first["result"]["stats"] == second["result"]["stats"]
+        stats = second["compiled_traces"]
+        assert (stats["entries"], stats["compiles"], stats["hits"]) == (2, 2, 0)
+
+    def test_text_with_a_lone_surrogate_is_hashed(self):
+        # A JSON body can carry "\\ud800", which decodes to a lone
+        # surrogate that strict UTF-8 cannot encode.
+        text = _trace_text("x").replace('"name": "x"', '"name": "\ud800"')
+        body = ServeApp().handle_simulate({"trace": text, "config": "a72"})
+        assert body["result"]["trace_name"] == "\ud800"
+
+    def test_lookups_are_counted_in_the_registry(self, server_port):
+        registry = get_registry()
+        names = ("trace_text_hits", "trace_parses")
+        before = {n: registry.counter(f"serve.simulate.{n}").value for n in names}
+        text = _trace_text("counted")
+        for config in ("a72", "hp", "lp"):
+            _request(server_port, "/simulate", {"trace": text, "config": config})
+        after = {n: registry.counter(f"serve.simulate.{n}").value for n in names}
+        assert after["trace_parses"] - before["trace_parses"] == 1
+        assert after["trace_text_hits"] - before["trace_text_hits"] == 2
+        req = urllib.request.Request(
+            f"http://127.0.0.1:{server_port}/metrics", method="GET"
+        )
+        with urllib.request.urlopen(req, timeout=30) as resp:
+            page = resp.read().decode("utf-8")
+        for name in names:
+            assert f"repro_serve_simulate_{name}_total" in page
+
+    @pytest.mark.skipif(
+        os.name != "posix", reason="shared segments ride across os.fork"
+    )
+    def test_sibling_worker_is_served_from_the_shared_store(self):
+        from repro.serve.shm import SharedBlobStore, unpickle_blob
+
+        store = SharedBlobStore.create(4 * 1024 * 1024, 64, "test-traces")
+        try:
+            text = _trace_text("shared")
+            first = ServeApp(shared_traces=store)
+            second = ServeApp(shared_traces=store)
+            first.handle_simulate({"trace": text, "config": "a72"})
+            registry = get_registry()
+            shared = registry.counter("serve.simulate.trace_text_shared_hits")
+            shared_before = shared.value
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(service, "parse_trace", None)  # must not be called
+                body = second.handle_simulate({"trace": text, "config": "hp"})
+            stats = body["compiled_traces"]
+            assert (stats["shared_hits"], stats["compiles"]) == (1, 0)
+            assert shared.value == shared_before + 1
+            assert store.stats()["entries"] == 1
+            # The published blob carries the content fingerprint.
+            (digest,) = first._compiled
+            published = unpickle_blob(store.get(digest))
+            assert published.source._fingerprint is not None
+        finally:
+            store.destroy()
+
+    def test_concurrent_posts_keep_the_lru_consistent(self):
+        app = ServeApp(compiled_traces=2)  # three texts: forces evictions
+        texts = [_trace_text(f"stress-{i}", latency=5 + i) for i in range(3)]
+        expected = {
+            text: app.handle_simulate({"trace": text, "config": "a72"})["result"]
+            for text in texts
+        }
+        errors = []
+
+        def post(offset):
+            try:
+                for j in range(12):
+                    text = texts[(offset + j) % len(texts)]
+                    result = app.handle_simulate({"trace": text, "config": "a72"})
+                    if result["result"]["stats"] != expected[text]["stats"]:
+                        errors.append(f"stats differ for {text[:40]!r}")
+            except Exception as exc:  # reported below, not lost in the thread
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=post, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        stats = app.compiled_trace_stats()
+        assert stats["hits"] + stats["misses"] == len(texts) + 8 * 12
+        assert stats["compiles"] == stats["misses"]
+        assert stats["entries"] <= 2
